@@ -292,11 +292,12 @@ func BenchmarkAblationContentionNoise(b *testing.B) {
 // --- Engine and runner perf baselines ---
 
 // BenchmarkSchedulerEvents measures the discrete-event engine's hot
-// path — park, heap push/pop, targeted wakeup, service — with varying
-// numbers of live workers contending for the schedule. ns/op is the
-// cost of one simulated shared-hardware event; events/s is the
-// engine's throughput. This is the baseline the O(log n) parked-worker
-// heap is held to.
+// path — park, heap push/pop, service, and the two coroutine switches
+// that hand control to the engine loop and back. The workers axis is
+// the heap depth: that many live workers are parked at every pop.
+// ns/op is the cost of one simulated shared-hardware event; events/s
+// is the engine's throughput. This is the baseline the O(log n)
+// parked-worker heap is held to.
 func BenchmarkSchedulerEvents(b *testing.B) {
 	for _, nw := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("workers%d", nw), func(b *testing.B) {

@@ -97,7 +97,7 @@ const contentionWindow = 96
 
 // touchRec records one worker's most recent event on a device's L2.
 // Holding the *Worker rather than its ID lets the liveness check read
-// w.state directly instead of probing the engine's worker map.
+// w.co directly: a finished worker has handed back its coroutine.
 type touchRec struct {
 	w  *Worker
 	ev uint64
@@ -223,10 +223,6 @@ func (m *Machine) Topology() *nvlink.Topology { return m.topo }
 // Phys returns machine physical memory.
 func (m *Machine) Phys() *vmem.PhysMem { return m.phys }
 
-// Root returns the machine's root RNG; Split it for per-component
-// streams rather than drawing from it directly.
-func (m *Machine) Root() *xrand.Source { return m.root }
-
 // AllocPID hands out this machine's next process ID. Atomic: trial
 // workers build processes on distinct machines, but nothing stops two
 // processes being created on one machine from different goroutines,
@@ -333,12 +329,11 @@ type request struct {
 type Worker struct {
 	eng     *engine
 	m       *Machine
-	cond    *sync.Cond
+	co      *coro // nil once the body has returned
 	id      int
 	name    string
 	dev     arch.DeviceID
 	clock   arch.Cycles
-	state   int
 	heapIdx int // position in the engine's parked heap, or noHeapIdx
 
 	pending *request
@@ -363,7 +358,6 @@ func (m *Machine) Spawn(dev arch.DeviceID, name string, sharedMemBytes int, body
 		return nil, err
 	}
 	w := &Worker{m: m, eng: m.eng, dev: dev, name: name, res: res}
-	w.cond = sync.NewCond(&m.eng.mu)
 	m.eng.register(w, func(w *Worker) {
 		defer w.res.Release()
 		body(w)
@@ -377,6 +371,10 @@ func (m *Machine) Spawn(dev arch.DeviceID, name string, sharedMemBytes int, body
 // start at zero, so backlog left by a previous run's kernels (whose
 // clocks ran far ahead) would otherwise stall this run's first bursts
 // for phantom cycles.
+//
+// A panic in a worker body or in event service (a device fault)
+// unwinds out of Run to its caller. The machine must then be
+// discarded: the workers still parked are never resumed.
 func (m *Machine) Run() {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
@@ -384,10 +382,7 @@ func (m *Machine) Run() {
 	m.eng.runAll(m.service)
 }
 
-// --- Worker-facing operations (called from kernel goroutines) ---
-
-// Name returns the worker's debug name.
-func (w *Worker) Name() string { return w.name }
+// --- Worker-facing operations (called from kernel bodies) ---
 
 // Device returns the GPU the worker runs on.
 func (w *Worker) Device() arch.DeviceID { return w.dev }
@@ -512,7 +507,7 @@ func (w *Worker) Yield() {
 	w.yield(&w.req)
 }
 
-// --- Event service (engine goroutine, lock held) ---
+// --- Event service (engine loop, between coroutine switches) ---
 
 // homeBurst tallies one event's remote lines per home device so the
 // whole event can reserve fabric ports as a single burst. Almost every
@@ -686,7 +681,7 @@ func (m *Machine) jitterFor(w *Worker, home arch.DeviceID) arch.Cycles {
 		if r.w == w {
 			r.ev = now
 			stamped = true
-		} else if r.w.state == stateDone || now-r.ev > contentionWindow {
+		} else if r.w.co == nil || now-r.ev > contentionWindow {
 			// Only live workers within the recency window count: a
 			// worker from a finished kernel cannot contend for ports.
 			continue
@@ -710,16 +705,4 @@ func (m *Machine) jitterFor(w *Worker, home arch.DeviceID) arch.Cycles {
 		j = -j / 2
 	}
 	return arch.Cycles(j + 0.5)
-}
-
-// ContentionLevel reports how many distinct workers touched dev's L2
-// within the trailing contention window (diagnostic hook).
-func (m *Machine) ContentionLevel(dev arch.DeviceID) int {
-	n := 0
-	for _, r := range m.lastTouch[dev] {
-		if m.eng.eventNo-r.ev <= contentionWindow {
-			n++
-		}
-	}
-	return n
 }
