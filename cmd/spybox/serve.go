@@ -28,13 +28,17 @@ import (
 	"spybox/pkg/spybox/service"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot pin connections.
+const readHeaderTimeout = 10 * time.Second
+
 func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use port 0 to pick a free port; the chosen one is printed)")
 	storeDir := fs.String("store", "", "job store directory, shareable by several serve processes (default: in-memory only)")
 	owner := fs.String("owner", "", "lease owner name in a shared store (default: hostname-pid)")
 	lease := fs.Duration("lease", service.DefaultLeaseTTL, "job lease TTL: how long a crashed process's jobs stay stuck before a peer reclaims them")
-	poll := fs.Duration("poll", service.DefaultPoll, "how often idle workers re-check a shared store for peers' submissions")
+	poll := fs.Duration("poll", service.DefaultPoll, "how often idle workers, waiters and event streams re-check a shared store for peers' submissions and finished jobs")
 	compact := fs.Int64("compact", service.DefaultCompactBytes, "job log size in bytes that triggers snapshot compaction")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "how many jobs run concurrently")
 	queueDepth := fs.Int("queue", 256, "how many jobs may wait before submissions are refused")
@@ -64,7 +68,7 @@ func serveCmd(args []string) error {
 		return err
 	}
 	fmt.Printf("spybox: serving on http://%s\n", ln.Addr())
-	srv := &http.Server{Handler: service.NewHandler(svc)}
+	srv := &http.Server{Handler: service.NewHandler(svc), ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -83,9 +87,10 @@ func serveCmd(args []string) error {
 		drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		drainErr := svc.Close(drainCtx)
-		// Closed subscriber streams have ended the running jobs' SSE
-		// handlers; give idle connections a moment, then force-close
-		// whatever is left (e.g. watchers of still-queued jobs).
+		// Close has closed every Watch stream, so each SSE handler has
+		// sent its final status (terminal, or still queued for the next
+		// start); give connections a moment to finish, then force-close
+		// whatever is left.
 		shutCtx, cancel2 := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel2()
 		if err := srv.Shutdown(shutCtx); err != nil {

@@ -159,10 +159,7 @@ func (s *Service) SubmitBatch(spec BatchSpec) (BatchStatus, error) {
 	st.ID = batch
 	st.Total = len(st.Jobs)
 	st.Queued = len(st.Jobs)
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.notifyChangeLocked()
 	return st, nil
 }
 

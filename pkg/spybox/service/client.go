@@ -121,24 +121,30 @@ func (c *Client) Batch(id string) (BatchStatus, error) {
 // WaitBatch polls until every job in the batch is terminal (or ctx
 // ends), with the same gentle backoff as Wait.
 func (c *Client) WaitBatch(ctx context.Context, id string) (BatchStatus, error) {
+	return backoff(ctx, func() (BatchStatus, error) { return c.Batch(id) }, BatchStatus.Terminal)
+}
+
+// backoff calls fetch until it fails or done accepts its value,
+// sleeping 25ms between calls and doubling up to 500ms. A nil ctx
+// means no deadline; otherwise ctx's end returns the last value with
+// ctx's error.
+func backoff[T any](ctx context.Context, fetch func() (T, error), done func(T) bool) (T, error) {
 	if ctx == nil {
-		//spylint:allow ctxflow documented nil-ctx default: a nil ctx means poll until the batch is terminal
+		//spylint:allow ctxflow documented nil-ctx default: a nil ctx means poll until done, per the JobService contract
 		ctx = context.Background()
 	}
 	delay := 25 * time.Millisecond
 	for {
-		st, err := c.Batch(id)
-		if err != nil || st.Terminal() {
-			return st, err
+		v, err := fetch()
+		if err != nil || done(v) {
+			return v, err
 		}
 		select {
 		case <-ctx.Done():
-			return st, ctx.Err()
+			return v, ctx.Err()
 		case <-time.After(delay):
 		}
-		if delay *= 2; delay > 500*time.Millisecond {
-			delay = 500 * time.Millisecond
-		}
+		delay = min(2*delay, 500*time.Millisecond)
 	}
 }
 
@@ -161,25 +167,8 @@ func (c *Client) Jobs() ([]spybox.JobStatus, error) {
 // keeps Wait robust against proxies that buffer event streams; use
 // Events for live progress.
 func (c *Client) Wait(ctx context.Context, id spybox.JobID) (spybox.JobStatus, error) {
-	if ctx == nil {
-		//spylint:allow ctxflow documented nil-ctx default: a nil ctx means wait forever, per the JobService contract
-		ctx = context.Background()
-	}
-	delay := 25 * time.Millisecond
-	for {
-		status, err := c.Job(id)
-		if err != nil || status.State.Terminal() {
-			return status, err
-		}
-		select {
-		case <-ctx.Done():
-			return status, ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay *= 2; delay > 500*time.Millisecond {
-			delay = 500 * time.Millisecond
-		}
-	}
+	return backoff(ctx, func() (spybox.JobStatus, error) { return c.Job(id) },
+		func(st spybox.JobStatus) bool { return st.State.Terminal() })
 }
 
 // Cancel implements spybox.JobService (POST .../cancel — the record

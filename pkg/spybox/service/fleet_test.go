@@ -16,15 +16,18 @@ import (
 	"spybox/pkg/spybox"
 )
 
-// claimCounter counts successful claims through a Store, so a test
-// can assert exactly-once scheduling: with no crashes, total claims
-// across a fleet must equal total jobs.
+// claimCounter counts claims through a Store, so a test can assert
+// exactly-once scheduling: with no crashes, total successful claims
+// across a fleet must equal total jobs. Attempts counts every call,
+// empty ones included.
 type claimCounter struct {
 	Store
-	n atomic.Int64
+	n        atomic.Int64
+	attempts atomic.Int64
 }
 
 func (c *claimCounter) Claim(owner string, ttl time.Duration) (Record, bool, error) {
+	c.attempts.Add(1)
 	rec, ok, err := c.Store.Claim(owner, ttl)
 	if ok {
 		c.n.Add(1)
@@ -208,6 +211,34 @@ func TestSubmitBatchExpandsAndStaysFair(t *testing.T) {
 
 // TestSubmitBatchValidation: a bad sweep submits nothing, and the
 // expansion limit is enforced before any job is created.
+// TestSubmitBatchWakesEveryIdleWorker: a batch submitted to an idle
+// pool starts on every worker at once. With an hour-long poll, a
+// worker left asleep would not look again within the test.
+func TestSubmitBatchWakesEveryIdleWorker(t *testing.T) {
+	t.Parallel()
+	store := &claimCounter{Store: NewMemStore()}
+	svc := newTestService(t, Options{Store: store, Workers: 2, Poll: time.Hour})
+	waitUntil(t, "both workers to go idle", func() bool { return store.attempts.Load() >= 2 })
+	st, err := svc.SubmitBatch(BatchSpec{
+		Experiments: []string{"fig9"}, Scales: []string{"small"}, Seeds: []uint64{1, 2}, Parallel: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	most := 0
+	waitUntil(t, "both jobs running, or the batch done", func() bool {
+		b, err := svc.Batch(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		most = max(most, b.Running)
+		return b.Running == 2 || b.Terminal()
+	})
+	if most != 2 {
+		t.Errorf("at most %d of 2 batch jobs ran at once on 2 idle workers", most)
+	}
+}
+
 func TestSubmitBatchValidation(t *testing.T) {
 	t.Parallel()
 	svc := newTestService(t, Options{Workers: 1, BatchLimit: 4})

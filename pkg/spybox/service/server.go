@@ -166,12 +166,29 @@ func (h *handler) method(w http.ResponseWriter, r *http.Request, want string, se
 	serve()
 }
 
+// maxBodyBytes caps a POSTed spec; real ones are a few hundred bytes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a POSTed spec into v, answering 413 for a body
+// over maxBodyBytes and 400 for anything else it cannot decode.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad %s: %w", what, err))
+		return false
+	}
+	return true
+}
+
 func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 	var spec spybox.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
+	if !decodeBody(w, r, "job spec", &spec) {
 		return
 	}
 	id, err := h.svc.Submit(spec)
@@ -194,10 +211,7 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) submitBatch(w http.ResponseWriter, r *http.Request) {
 	var spec BatchSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad batch spec: %w", err))
+	if !decodeBody(w, r, "batch spec", &spec) {
 		return
 	}
 	st, err := h.svc.SubmitBatch(spec)
@@ -284,12 +298,11 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request, id spybox.JobID
 		writeError(w, http.StatusNotImplemented, errors.New("streaming unsupported by this server"))
 		return
 	}
-	ch, unsub, err := h.svc.Watch(id)
+	ch, err := h.svc.Watch(r.Context(), id)
 	if err != nil {
 		writeServiceError(w, err)
 		return
 	}
-	defer unsub()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
@@ -302,18 +315,10 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request, id spybox.JobID
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
 		flusher.Flush()
 	}
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				if status, err := h.svc.Job(id); err == nil {
-					send("status", status)
-				}
-				return
-			}
-			send("progress", eventMsg(ev))
-		case <-r.Context().Done():
-			return
-		}
+	for ev := range ch { // closes when the job finishes or the client goes
+		send("progress", eventMsg(ev))
+	}
+	if status, err := h.svc.Job(id); err == nil {
+		send("status", status)
 	}
 }

@@ -223,6 +223,18 @@ func TestHTTPErrors(t *testing.T) {
 	if _, err := cli.Submit(smallSpec("bogus")); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("bad spec over HTTP: %v", err)
 	}
+	// Bodies over the 1 MiB cap are refused whole, on both POST routes.
+	huge := `{"client":"` + strings.Repeat("x", 2<<20) + `"}`
+	for _, path := range []string{"/v1/jobs", "/v1/jobs:batch"} {
+		resp, err := http.Post(cli.base+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized body to %s: %d, want 413", path, resp.StatusCode)
+		}
+	}
 
 	// A live job's result endpoint says "not yet", not "not found".
 	id, err := cli.Submit(smallSpec("fig9"))

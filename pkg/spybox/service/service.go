@@ -71,20 +71,14 @@ type Options struct {
 	// takeover after a crash but less tolerance for stalls.
 	LeaseTTL time.Duration
 	// Poll is how often idle workers re-check the store for jobs
-	// submitted by peer processes, and waiters re-check for jobs
-	// finished by them. <= 0 means DefaultPoll. Purely local activity
-	// never waits on it.
+	// submitted by peer processes, and Wait and Watch re-check for jobs
+	// finished (or reclaimed after a lease loss) by them. <= 0 means
+	// DefaultPoll. Purely local activity never waits on it: every local
+	// submit, cancel, delete, finish and drain wakes them at once.
 	Poll time.Duration
 	// BatchLimit caps how many jobs one SubmitBatch sweep may expand
 	// to; <= 0 means DefaultBatchLimit.
 	BatchLimit int
-}
-
-// jobRT is the runtime (never persisted) state of a job this process
-// is running; it exists from claim to terminal write.
-type jobRT struct {
-	cancel context.CancelFunc
-	done   chan struct{} // closed when this process is done with the job
 }
 
 // Service is the in-process JobService implementation.
@@ -98,16 +92,19 @@ type Service struct {
 	poll       time.Duration
 	batchLimit int
 
+	// mu guards the fields below. change is the service's one wake-up
+	// signal: workers, Wait, Watch streams, Delete and Close all sleep
+	// on it, and it is closed and replaced on every local state change.
 	mu     sync.Mutex
-	rt     map[spybox.JobID]*jobRT                         // jobs running in this process
+	rt     map[spybox.JobID]context.CancelFunc             // jobs running in this process, claim to terminal write
 	subs   map[spybox.JobID]map[chan spybox.Event]struct{} // Watch streams
-	change chan struct{}                                   // closed+replaced on every local state change
+	change chan struct{}
 	seq    int
 	closed bool
-
-	wake chan struct{} // nudges an idle worker after Submit
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// live counts the worker and Watch goroutines Close waits for. It
+	// is a counter under mu, not a WaitGroup, because Watch may start a
+	// goroutine after Close has begun waiting.
+	live int
 
 	smu      sync.Mutex
 	sessions map[sessionKey]*spybox.Session
@@ -157,11 +154,9 @@ func New(opts Options) (*Service, error) {
 		leaseTTL:   opts.LeaseTTL,
 		poll:       opts.Poll,
 		batchLimit: opts.BatchLimit,
-		rt:         map[spybox.JobID]*jobRT{},
+		rt:         map[spybox.JobID]context.CancelFunc{},
 		subs:       map[spybox.JobID]map[chan spybox.Event]struct{}{},
 		change:     make(chan struct{}),
-		wake:       make(chan struct{}, 1),
-		stop:       make(chan struct{}),
 		sessions:   map[sessionKey]*spybox.Session{},
 	}
 	recs, err := s.store.List()
@@ -178,20 +173,43 @@ func New(opts Options) (*Service, error) {
 			}
 		}
 	}
+	s.live = s.workers
 	for i := 0; i < s.workers; i++ {
-		s.wg.Add(1)
 		go s.worker()
 	}
-	s.wg.Add(1)
-	go s.observer()
 	return s, nil
 }
 
-// notifyChangeLocked wakes every Wait by closing the change channel
-// and installing a fresh one. Callers hold s.mu.
+// notifyChangeLocked wakes everything sleeping on the change signal by
+// closing the channel and installing a fresh one. Callers hold s.mu.
 func (s *Service) notifyChangeLocked() {
 	close(s.change)
 	s.change = make(chan struct{})
+}
+
+// waitLocked blocks until cond holds, re-checking it on every change,
+// or until ctx ends. Callers hold s.mu; it is released while blocked.
+func (s *Service) waitLocked(ctx context.Context, cond func() bool) error {
+	for !cond() {
+		ch := s.change
+		s.mu.Unlock()
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			s.mu.Lock()
+			return ctx.Err()
+		}
+		s.mu.Lock()
+	}
+	return nil
+}
+
+// exit ends one goroutine counted in s.live, waking a draining Close.
+func (s *Service) exit() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.live--
+	s.notifyChangeLocked()
 }
 
 // sessionKey identifies one pooled Session by the normalized Config
@@ -260,7 +278,7 @@ func (s *Service) session(spec spybox.JobSpec) (*spybox.Session, error) {
 
 // Submit implements spybox.JobService: validate, persist as queued
 // (Create, so an ID collision with a peer process retries with the
-// next sequence number instead of overwriting), nudge a worker.
+// next sequence number instead of overwriting), wake the workers.
 func (s *Service) Submit(spec spybox.JobSpec) (spybox.JobID, error) {
 	norm, err := normalize(spec)
 	if err != nil {
@@ -298,10 +316,7 @@ func (s *Service) submitStatus(status spybox.JobStatus) (spybox.JobID, error) {
 		}
 		// A peer sharing the store took this ID; try the next one.
 	}
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.notifyChangeLocked()
 	return status.ID, nil
 }
 
@@ -330,9 +345,10 @@ func (s *Service) Jobs() ([]spybox.JobStatus, error) {
 	return out, nil
 }
 
-// Wait implements spybox.JobService. Local completions wake it
-// immediately through the change broadcast; jobs finished by a peer
-// process are noticed within one poll interval.
+// Wait implements spybox.JobService. It returns once the job is
+// terminal or deleted, or the service has drained without running it.
+// Local changes wake it immediately through the change signal; jobs
+// finished by a peer process are noticed within one poll interval.
 func (s *Service) Wait(ctx context.Context, id spybox.JobID) (spybox.JobStatus, error) {
 	if ctx == nil {
 		//spylint:allow ctxflow documented nil-ctx default: a nil ctx means wait forever, per the JobService contract
@@ -391,12 +407,10 @@ func (s *Service) cancelLocked(id spybox.JobID) error {
 	if rec.Status.State.Terminal() {
 		return nil
 	}
-	if rt := s.rt[id]; rt != nil {
-		// Running here (or claimed and about to): the run's context
-		// stops it, and the worker persists partials and finishes.
-		if rt.cancel != nil {
-			rt.cancel()
-		}
+	if cancel := s.rt[id]; cancel != nil {
+		// Running here: the run's context stops it, and the worker
+		// persists partials and finishes.
+		cancel()
 		return nil
 	}
 	// Queued, or running in a peer process. Terminal Put clears any
@@ -411,7 +425,6 @@ func (s *Service) cancelLocked(id spybox.JobID) error {
 	if err := s.store.Put(rec); err != nil {
 		return err
 	}
-	s.closeSubsLocked(id)
 	s.notifyChangeLocked()
 	return nil
 }
@@ -428,24 +441,16 @@ func (s *Service) Delete(ctx context.Context, id spybox.JobID) error {
 		ctx = context.Background()
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.cancelLocked(id); err != nil {
-		s.mu.Unlock()
 		return err
 	}
-	rt := s.rt[id]
-	s.mu.Unlock()
-	if rt != nil {
-		select {
-		case <-rt.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	if err := s.waitLocked(ctx, func() bool { return s.rt[id] == nil }); err != nil {
+		return err
 	}
-	s.mu.Lock()
-	s.closeSubsLocked(id)
+	err := s.store.Delete(id)
 	s.notifyChangeLocked()
-	s.mu.Unlock()
-	return s.store.Delete(id)
+	return err
 }
 
 // Result implements spybox.JobService.
@@ -465,44 +470,37 @@ func (s *Service) Result(id spybox.JobID) ([]*report.Result, error) {
 }
 
 // Watch subscribes to a job's progress events. The channel closes
-// when the job reaches a terminal state (immediately, for already
-// terminal jobs); a slow receiver drops events rather than stalling
-// the simulation. Only the process running the job sees its events,
-// so a stream opened on a peer's job carries nothing and simply
-// closes when the job finishes. The returned func unsubscribes.
-func (s *Service) Watch(id spybox.JobID) (<-chan spybox.Event, func(), error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok, err := s.store.Get(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", spybox.ErrNoJob, id)
+// when Wait(ctx, id) returns: the job is terminal (at once, for an
+// already terminal job) or deleted, the service drained without
+// running it, or ctx ended. A slow receiver drops events rather than
+// stalling the simulation. Only the process running the job sees its
+// events, so a stream opened on a peer's job carries nothing and
+// simply closes when the job finishes — as does a stream whose job
+// this process lost to a peer mid-run.
+func (s *Service) Watch(ctx context.Context, id spybox.JobID) (<-chan spybox.Event, error) {
+	if _, err := s.Job(id); err != nil {
+		return nil, err
 	}
 	ch := make(chan spybox.Event, 64)
-	if rec.Status.State.Terminal() || s.closed {
-		close(ch)
-		return ch, func() {}, nil
-	}
+	s.mu.Lock()
 	if s.subs[id] == nil {
 		s.subs[id] = map[chan spybox.Event]struct{}{}
 	}
 	s.subs[id][ch] = struct{}{}
-	unsub := func() {
+	s.live++
+	s.mu.Unlock()
+	go func() {
+		defer s.exit()
+		_, _ = s.Wait(ctx, id)
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if set, ok := s.subs[id]; ok {
-			if _, live := set[ch]; live {
-				delete(set, ch)
-				close(ch)
-				if len(set) == 0 {
-					delete(s.subs, id)
-				}
-			}
+		delete(s.subs[id], ch)
+		if len(s.subs[id]) == 0 {
+			delete(s.subs, id)
 		}
-	}
-	return ch, unsub, nil
+		close(ch)
+	}()
+	return ch, nil
 }
 
 // publish fans a session event out to the job's subscribers. It is
@@ -522,42 +520,28 @@ func (s *Service) publish(ev spybox.Event) {
 	}
 }
 
-// closeSubsLocked ends every Watch stream for id. Callers hold s.mu.
-func (s *Service) closeSubsLocked(id spybox.JobID) {
-	for ch := range s.subs[id] {
-		close(ch)
-	}
-	delete(s.subs, id)
-}
-
-// finishLocked closes out this process's runtime state for a job that
-// reached a terminal state (or was lost to a peer): done is closed so
-// Delete stops blocking, every subscriber stream ends, waiters are
-// woken, and the rt entry is dropped so a long-lived server doesn't
-// accumulate one per job ever run. Callers hold s.mu.
+// finishLocked drops this process's runtime state for a job that
+// reached a terminal state (or was lost to a peer), so a long-lived
+// server doesn't accumulate one entry per job ever run, and wakes
+// Delete, Wait and the job's Watch streams. Callers hold s.mu.
 func (s *Service) finishLocked(id spybox.JobID) {
-	if rt := s.rt[id]; rt != nil {
-		select {
-		case <-rt.done:
-		default:
-			close(rt.done)
-		}
-		delete(s.rt, id)
-	}
-	s.closeSubsLocked(id)
+	delete(s.rt, id)
 	s.notifyChangeLocked()
 }
 
-// worker claims and runs jobs until Close. An idle worker sleeps
-// until a local Submit nudges it or the poll interval elapses (a peer
-// process may have submitted into the shared store).
+// worker claims and runs jobs until Close. An idle worker sleeps until
+// the next local change (a Submit, say) or the poll interval elapses
+// (a peer process may have submitted into the shared store). The
+// change channel is read before Claim, so a Submit that lands after
+// an empty Claim still wakes it.
 func (s *Service) worker() {
-	defer s.wg.Done()
+	defer s.exit()
 	for {
-		select {
-		case <-s.stop:
+		s.mu.Lock()
+		ch, closed := s.change, s.closed
+		s.mu.Unlock()
+		if closed {
 			return
-		default:
 		}
 		rec, ok, err := s.store.Claim(s.owner, s.leaseTTL)
 		if err == nil && ok {
@@ -566,44 +550,10 @@ func (s *Service) worker() {
 		}
 		timer := time.NewTimer(s.poll)
 		select {
-		case <-s.stop:
-			timer.Stop()
-			return
-		case <-s.wake:
+		case <-ch:
 		case <-timer.C:
 		}
 		timer.Stop()
-	}
-}
-
-// observer closes Watch streams for jobs that a peer process finished
-// (locally run jobs close theirs through finishLocked, immediately).
-// It only touches the store while streams are open.
-func (s *Service) observer() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.poll)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			s.mu.Lock()
-			for id := range s.subs {
-				if s.rt[id] != nil {
-					continue // running here: finishLocked will close it
-				}
-				rec, ok, err := s.store.Get(id)
-				if err != nil {
-					continue
-				}
-				if !ok || rec.Status.State.Terminal() {
-					s.closeSubsLocked(id)
-					s.notifyChangeLocked()
-				}
-			}
-			s.mu.Unlock()
-		}
 	}
 }
 
@@ -618,14 +568,12 @@ func (s *Service) observer() {
 func (s *Service) runJob(claimed Record) {
 	id := claimed.Status.ID
 	s.mu.Lock()
-	select {
-	case <-s.stop:
+	if s.closed {
 		// Draining: return the claim so the job stays queued for a
 		// peer or the next start.
 		s.mu.Unlock()
 		_ = s.store.Release(id, s.owner)
 		return
-	default:
 	}
 	rec, ok, err := s.store.Get(id)
 	if err != nil {
@@ -645,8 +593,7 @@ func (s *Service) runJob(claimed Record) {
 	}
 	//spylint:allow ctxflow the job outlives the submitting request; cancellation routes through Cancel/Delete and lease loss, not a caller ctx
 	ctx, cancel := context.WithCancel(context.Background())
-	rt := &jobRT{cancel: cancel, done: make(chan struct{})}
-	s.rt[id] = rt
+	s.rt[id] = cancel
 	rec.Status.State = spybox.JobRunning
 	rec.Status.Done = 0
 	rec.Status.CacheHits = 0
@@ -713,8 +660,8 @@ func (s *Service) runJob(claimed Record) {
 			}
 			// Progress checkpoint. No s.mu: while the job is running,
 			// this goroutine is the record's only writer (cancellation
-			// routes through rt.cancel, Delete blocks on rt.done, and
-			// stores serialize internally). Results stay in memory
+			// routes through the rt cancel func, Delete waits for the
+			// rt entry to go, and stores serialize internally). Results stay in memory
 			// until the terminal write — a restart re-runs non-terminal
 			// jobs from scratch anyway, so persisting partials per
 			// experiment would only bloat the job log with every
@@ -778,44 +725,27 @@ func (s *Service) publishCached(id spybox.JobID, exptID string) {
 // are cancelled (stopping at their next trial boundary, persisting
 // the results completed so far), queued jobs stay queued in the store
 // — for the next start, or for peer processes still draining the same
-// store. Close returns when every worker has finished persisting, or
-// with the context's error if that takes longer.
+// store — and Watch streams close once their jobs stop here. Close
+// returns when every worker has finished persisting and every stream
+// has closed, or with the context's error if that takes longer.
 func (s *Service) Close(ctx context.Context) error {
 	if ctx == nil {
 		//spylint:allow ctxflow documented nil-ctx default: a nil ctx means drain without a deadline
 		ctx = context.Background()
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.closed {
 		s.closed = true
-		close(s.stop)
-		for _, rt := range s.rt {
-			if rt.cancel != nil {
-				rt.cancel() // the worker persists partials, then finishes the rt
-			}
-		}
-		// End Watch streams on jobs this process isn't running —
-		// nothing here will ever feed them — and wake every Wait so it
-		// can observe the drain.
-		for id := range s.subs {
-			if s.rt[id] == nil {
-				s.closeSubsLocked(id)
-			}
+		for _, cancel := range s.rt {
+			cancel() // the worker persists partials, then finishes the job
 		}
 		s.notifyChangeLocked()
 	}
-	s.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("service: drain incomplete: %w", ctx.Err())
+	if err := s.waitLocked(ctx, func() bool { return s.live == 0 }); err != nil {
+		return fmt.Errorf("service: drain incomplete: %w", err)
 	}
+	return nil
 }
 
 // Stats is an operational snapshot of the service.

@@ -313,10 +313,24 @@ func TestCloseDrains(t *testing.T) {
 		st, _ := svc.Wait(context.Background(), queued)
 		waited <- st
 	}()
+	// Likewise a Watch stream on it: Close waits for the stream, so it
+	// has closed, with no events, by the time Close returns.
+	stream, err := svc.Watch(context.Background(), queued)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := svc.Close(ctx); err != nil {
 		t.Fatal(err)
+	}
+	select {
+	case ev, open := <-stream:
+		if open {
+			t.Errorf("queued job's stream delivered %+v", ev)
+		}
+	default:
+		t.Error("queued job's stream still open after Close returned")
 	}
 	select {
 	case st := <-waited:
@@ -355,11 +369,10 @@ func TestWatchStreamsJobTaggedEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, unsub, err := svc.Watch(id)
+	ch, err := svc.Watch(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer unsub()
 	var events []spybox.Event
 	for ev := range ch { // closes when the job goes terminal
 		events = append(events, ev)
@@ -385,16 +398,90 @@ func TestWatchStreamsJobTaggedEvents(t *testing.T) {
 		t.Errorf("no trial-done among %d events", len(events))
 	}
 	// Watching a finished job yields a closed (empty) stream.
-	ch2, unsub2, err := svc.Watch(id)
+	ch2, err := svc.Watch(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer unsub2()
 	if _, open := <-ch2; open {
 		t.Error("terminal job's stream delivered an event")
 	}
-	if _, _, err := svc.Watch("job-999"); !errors.Is(err, spybox.ErrNoJob) {
+	if _, err := svc.Watch(context.Background(), "job-999"); !errors.Is(err, spybox.ErrNoJob) {
 		t.Errorf("Watch on unknown job: %v", err)
+	}
+}
+
+// TestWatchClosesWhenPeerFinishes: a stream opened on a job another
+// service runs from the same store carries no events and closes once
+// that peer finishes the job, with the job's terminal status readable.
+func TestWatchClosesWhenPeerFinishes(t *testing.T) {
+	t.Parallel()
+	store := NewMemStore()
+	peer := newTestService(t, fleetOptions(store, "A"))
+	id, err := peer.Submit(smallSpec("fig9"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "peer to start the job", func() bool {
+		st, err := peer.Job(id)
+		return err == nil && st.State == spybox.JobRunning
+	})
+	svc := newTestService(t, fleetOptions(store, "B"))
+	ch, err := svc.Watch(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ev := range ch {
+		t.Errorf("peer's job delivered %+v on this service's stream", ev)
+	}
+	if st, err := svc.Job(id); err != nil || st.State != spybox.JobDone {
+		t.Errorf("job after its stream closed: %+v, %v", st, err)
+	}
+}
+
+// TestWatchContextEndsStream: cancelling Watch's ctx closes the stream
+// of a job that is still running (here, in a peer), and Close returns
+// with no stream left behind.
+func TestWatchContextEndsStream(t *testing.T) {
+	t.Parallel()
+	// job-1 is claimed and running in a peer under a long lease, so
+	// this service never claims it.
+	store := NewMemStore()
+	if err := store.Put(rec("job-1", spybox.JobQueued)); err != nil {
+		t.Fatal(err)
+	}
+	r, ok, err := store.Claim("peer", time.Hour)
+	if err != nil || !ok {
+		t.Fatalf("seed claim: %v %v", ok, err)
+	}
+	r.Status.State = spybox.JobRunning
+	if err := store.Put(r); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(Options{Store: store, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	ch, err := svc.Watch(ctx, "job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	select {
+	case _, open := <-ch:
+		if open {
+			t.Error("stream delivered an event")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream stayed open after its ctx was cancelled")
+	}
+	if st, _ := svc.Job("job-1"); st.State != spybox.JobRunning {
+		t.Errorf("peer's job after the stream closed: %+v", st)
+	}
+	drain, cancelDrain := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancelDrain()
+	if err := svc.Close(drain); err != nil {
+		t.Fatal(err)
 	}
 }
 
