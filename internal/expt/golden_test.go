@@ -107,6 +107,61 @@ func TestGoldenV100(t *testing.T) {
 	}
 }
 
+// goldenChannelExperiments freeze the covert-channel paths no other
+// golden reaches: sec6 drives Channel.TransmitWith's beforeRun hook
+// (noise and occupancy blocking), multigpu drives MultiChannel's
+// striping over two spy GPUs, and mig runs attack-pair discovery on a
+// partitioned machine.
+var goldenChannelExperiments = []string{"sec6", "multigpu", "mig"}
+
+// TestGoldenChannels pins those reports byte-for-byte on the paper's
+// machine at the default seed. It runs in -short mode too (about 3 s
+// at -parallel 1), so CI's test job exercises it. Regenerate with
+// -update only when an output change is intended and reviewed.
+func TestGoldenChannels(t *testing.T) {
+	t.Parallel()
+	p := Params{Seed: 20230612, Scale: Small, Parallel: 1, Arch: "p100-dgx1"}
+	checkGolden(t, p, goldenChannelExperiments, "golden_channels_small.txt")
+}
+
+// checkGolden runs the experiments in order, concatenates their text
+// reports, and compares them with testdata/name (or rewrites the file
+// under -update).
+func checkGolden(t *testing.T, p Params, ids []string, name string) {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, id := range ids {
+		e, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("experiment %q not registered", id)
+		}
+		r, err := e.Run(p)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		r.Print(&buf)
+	}
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("output diverged from %s.\n"+
+			"got %d bytes, want %d; first divergence near byte %d",
+			path, buf.Len(), len(want), firstDiff(buf.Bytes(), want))
+	}
+}
+
 func firstDiff(a, b []byte) int {
 	n := len(a)
 	if len(b) < n {
