@@ -41,10 +41,6 @@ func (c *Channel) SetPlane(plane int) error {
 	return c.Spy.m.Topology().PinPlane(c.Spy.Proc.Device(), c.Spy.Target, plane)
 }
 
-// NumPlanes returns the switch-plane count of the attacked box (0
-// without a fabric) so policies can size their hop space.
-func (c *Channel) NumPlanes() int { return c.Spy.m.Topology().NumPlanes() }
-
 // BitPeriods returns the rate ladder an adaptive sender modulates
 // over: the default period, one faster step, and two slower ones.
 // Slower steps trade bandwidth for cleaner epochs (more probes per

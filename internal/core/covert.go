@@ -167,33 +167,52 @@ func (c *Channel) Transmit(msg []byte) (*Transmission, error) {
 // Sec. VI experiments) key their termination off that flag so the
 // machine run can complete.
 func (c *Channel) TransmitWith(msg []byte, beforeRun func(stop *bool) error) (*Transmission, error) {
+	return transmit(c.Trojan, []Branch{{Spy: c.Spy, Pairs: c.Pairs}}, c.Cfg, msg, beforeRun)
+}
+
+// transmit is the one implementation of the bit protocol behind
+// Channel and MultiChannel. Every aligned pair of every branch is a
+// lane; the bit stream is dealt round-robin across lanes, and each
+// lane's spy classifies probes with its own thresholds. beforeRun may
+// be nil.
+func transmit(trojan *Attacker, branches []Branch, cfg CovertConfig, msg []byte, beforeRun func(stop *bool) error) (*Transmission, error) {
 	bits := BytesToBits(msg)
 	if len(bits) == 0 {
 		return nil, fmt.Errorf("core: empty message")
 	}
-	n := len(c.Pairs)
+	type lane struct {
+		spy      *Attacker
+		pair     AlignedPair
+		boundary float64
+	}
+	var lanes []lane
+	for _, b := range branches {
+		boundary := b.Spy.Thr.Boundary(b.Spy.Remote())
+		for _, p := range b.Pairs {
+			lanes = append(lanes, lane{spy: b.Spy, pair: p, boundary: boundary})
+		}
+	}
+	n := len(lanes)
 	streams := splitRoundRobin(bits, n)
-	T := c.Cfg.BitPeriod
+	T := cfg.BitPeriod
 
 	samples := make([][]probeSample, n)
-	boundary := c.Spy.Thr.Boundary(c.Spy.Remote())
 	stop := new(bool)
 	spiesLeft := n
 
-	for si := range c.Pairs {
-		si := si
-		pair := c.Pairs[si]
-		stream := streams[si]
+	for li, ln := range lanes {
+		li, ln := li, ln
+		stream := streams[li]
 
 		// Trojan sender: per bit epoch, hammer the set for '1' or
 		// burn heavy arithmetic for '0'. The paper's trojan uses one
 		// warp (32 threads) per thread block.
-		err := c.Trojan.Proc.Launch(fmt.Sprintf("trojan-set%d", si), 0, func(k *cudart.Kernel) {
+		err := trojan.Proc.Launch(fmt.Sprintf("trojan-set%d", li), 0, func(k *cudart.Kernel) {
 			for bi, b := range stream {
 				epochEnd := arch.Cycles(bi+1) * T
 				for k.Now() < epochEnd {
 					if b == 1 {
-						k.ProbeSet(pair.TE.Lines)
+						k.ProbeSet(ln.pair.TE.Lines)
 						k.Busy(2)
 					} else {
 						k.BusyHeavy(8)
@@ -210,26 +229,26 @@ func (c *Channel) TransmitWith(msg []byte, beforeRun func(stop *bool) error) (*T
 		// buffer to global memory; the 32 KB shared buffer is its
 		// occupancy cost.
 		endTime := arch.Cycles(len(stream))*T + T/2
-		err = c.Spy.Proc.Launch(fmt.Sprintf("spy-set%d", si), arch.MaxSharedMemPerBlock, func(k *cudart.Kernel) {
+		err = ln.spy.Proc.Launch(fmt.Sprintf("spy-set%d", li), arch.MaxSharedMemPerBlock, func(k *cudart.Kernel) {
 			defer func() {
 				spiesLeft--
 				if spiesLeft == 0 {
 					*stop = true
 				}
 			}()
-			k.ProbeSet(pair.SE.Lines) // initial prime
+			k.ProbeSet(ln.pair.SE.Lines) // initial prime
 			for k.Now() < endTime {
-				lats, _ := k.ProbeSet(pair.SE.Lines)
+				lats, _ := k.ProbeSet(ln.pair.SE.Lines)
 				misses := 0
 				var sum float64
 				for _, l := range lats {
-					if float64(l) > boundary {
+					if float64(l) > ln.boundary {
 						misses++
 					}
 					sum += float64(l)
 				}
 				k.SharedWrite() // record into shared buffer
-				samples[si] = append(samples[si], probeSample{
+				samples[li] = append(samples[li], probeSample{
 					t:      k.Now(),
 					misses: misses,
 					avgLat: sum / float64(len(lats)),
@@ -245,42 +264,42 @@ func (c *Channel) TransmitWith(msg []byte, beforeRun func(stop *bool) error) (*T
 			return nil, err
 		}
 	}
-	c.Trojan.m.Run()
+	trojan.m.Run()
 
 	// Decode each stream: majority of per-probe miss-count decisions
 	// within the epoch's guarded window.
 	decoded := make([][]byte, n)
 	var lastSample arch.Cycles
-	for si := range c.Pairs {
-		stream := streams[si]
-		decoded[si] = make([]byte, len(stream))
-		guard := arch.Cycles(float64(T) * c.Cfg.GuardFrac)
+	guard := arch.Cycles(float64(T) * cfg.GuardFrac)
+	for li := range lanes {
+		stream := streams[li]
+		decoded[li] = make([]byte, len(stream))
 		for bi := range stream {
 			lo, hi := arch.Cycles(bi)*T+guard, arch.Cycles(bi+1)*T
 			ones, zeros := 0, 0
-			for _, s := range samples[si] {
+			for _, s := range samples[li] {
 				if s.t < lo || s.t >= hi {
 					continue
 				}
-				if s.misses*2 > len(c.Pairs[si].SE.Lines) {
+				if s.misses*2 > len(lanes[li].pair.SE.Lines) {
 					ones++
 				} else {
 					zeros++
 				}
 			}
 			if ones > zeros {
-				decoded[si][bi] = 1
+				decoded[li][bi] = 1
 			}
 		}
-		if k := len(samples[si]); k > 0 && samples[si][k-1].t > lastSample {
-			lastSample = samples[si][k-1].t
+		if k := len(samples[li]); k > 0 && samples[li][k-1].t > lastSample {
+			lastSample = samples[li][k-1].t
 		}
 	}
 
 	rx := mergeRoundRobin(decoded, len(bits))
 	tx := &Transmission{
 		SentBits: bits, ReceivedBits: rx, Duration: lastSample,
-		ClockHz: c.Trojan.m.Profile().Lat.ClockHz,
+		ClockHz: trojan.m.Profile().Lat.ClockHz,
 	}
 	for i := range bits {
 		if bits[i] != rx[i] {

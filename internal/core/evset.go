@@ -48,9 +48,6 @@ type Attacker struct {
 	m *sim.Machine
 }
 
-// Machine returns the box the attacker runs on.
-func (a *Attacker) Machine() *sim.Machine { return a.m }
-
 // Ways returns the associativity of the target GPU's L2 — the ground
 // truth the machine profile fixes. Attack phases that come after
 // reverse engineering (the paper's "one time, offline" step) read it

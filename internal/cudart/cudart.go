@@ -27,7 +27,6 @@ type Process struct {
 	pid   arch.ProcessID
 	dev   arch.DeviceID
 	space *vmem.Space
-	rng   *xrand.Source
 }
 
 // NewProcess creates a process whose kernels run on dev. The seed
@@ -47,7 +46,6 @@ func NewProcess(m *sim.Machine, dev arch.DeviceID, seed uint64) (*Process, error
 		pid:   pid,
 		dev:   dev,
 		space: vmem.NewSpaceFiltered(pid, m.Phys(), rng.Split(), m.FrameFilter(pid)),
-		rng:   rng,
 	}, nil
 }
 
@@ -65,12 +63,6 @@ func (p *Process) PID() arch.ProcessID { return p.pid }
 
 // Device returns the GPU hosting this process's kernels.
 func (p *Process) Device() arch.DeviceID { return p.dev }
-
-// Machine returns the box the process runs on.
-func (p *Process) Machine() *sim.Machine { return p.m }
-
-// RNG returns the process-private random source.
-func (p *Process) RNG() *xrand.Source { return p.rng }
 
 // Malloc allocates size bytes homed on the process's own GPU.
 func (p *Process) Malloc(size uint64) (arch.VA, error) {
@@ -156,14 +148,8 @@ func (p *Process) LaunchOn(dev arch.DeviceID, name string, sharedMemBytes int, b
 	return err
 }
 
-// Process returns the owning process.
-func (k *Kernel) Process() *Process { return k.p }
-
 // Device returns the GPU the kernel runs on.
 func (k *Kernel) Device() arch.DeviceID { return k.w.Device() }
-
-// Clock reads the per-block cycle counter (CUDA clock()).
-func (k *Kernel) Clock() arch.Cycles { return k.w.Clock() }
 
 // Now returns current cycles without clock-read overhead.
 func (k *Kernel) Now() arch.Cycles { return k.w.Now() }
@@ -191,16 +177,6 @@ func (k *Kernel) LdCG(va arch.VA) (uint64, arch.Cycles) {
 	return k.w.LoadCG(pa)
 }
 
-// LdCGHit is LdCG plus the ground-truth L2 hit flag — instrumentation
-// only; attack logic classifies by latency like on real hardware.
-func (k *Kernel) LdCGHit(va arch.VA) (uint64, arch.Cycles, bool) {
-	pa, err := k.p.space.Translate(va)
-	if err != nil {
-		panic(err)
-	}
-	return k.w.LoadCGHit(pa)
-}
-
 // TouchCG moves va's line through the L2 without reading data.
 func (k *Kernel) TouchCG(va arch.VA) arch.Cycles {
 	pa, err := k.p.space.Translate(va)
@@ -208,15 +184,6 @@ func (k *Kernel) TouchCG(va arch.VA) arch.Cycles {
 		panic(err)
 	}
 	return k.w.TouchCG(pa)
-}
-
-// TouchCGHit is TouchCG plus the ground-truth L2 hit flag.
-func (k *Kernel) TouchCGHit(va arch.VA) (arch.Cycles, bool) {
-	pa, err := k.p.space.Translate(va)
-	if err != nil {
-		panic(err)
-	}
-	return k.w.TouchCGHit(pa)
 }
 
 // ProbeSet accesses all given addresses as one warp-parallel probe and

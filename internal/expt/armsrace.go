@@ -17,7 +17,6 @@ package expt
 import (
 	"fmt"
 
-	"spybox/internal/core"
 	"spybox/internal/game"
 	"spybox/internal/plot"
 	"spybox/internal/xrand"
@@ -72,15 +71,9 @@ func ArmsRace(p Params) (*Result, error) {
 		out := armsraceTrial{setting: s}
 		// Condition trials rebuild the same machine from the run seed;
 		// see the package comment and EXPERIMENTS.md.
-		pair, err := setupAttackPair(Params{Seed: p.Seed, Scale: p.Scale, Parallel: 1, Arch: p.Arch})
-		if err != nil {
-			return out, err
-		}
-		pairs, err := core.AlignChannels(pair.trojan, pair.spy, pair.trojanSets, pair.spySets, 2)
-		if err != nil {
-			return out, err
-		}
-		ch, err := core.NewChannel(pair.trojan, pair.spy, pairs, core.DefaultCovertConfig())
+		cp := t.Params
+		cp.Seed = p.Seed
+		pair, ch, err := setupChannel(cp, 2)
 		if err != nil {
 			return out, err
 		}

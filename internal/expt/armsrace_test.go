@@ -1,11 +1,6 @@
 package expt
 
-import (
-	"bytes"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestGoldenArmsrace pins the armsrace report — and with it the
 // per-round trace format and both policies' full decision sequences —
@@ -18,31 +13,7 @@ func TestGoldenArmsrace(t *testing.T) {
 	}
 	t.Parallel()
 	p := Params{Seed: 20230612, Scale: Small, Parallel: 1, Arch: "p100-dgx1"}
-	r, err := ArmsRace(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	path := filepath.Join("testdata", "golden_armsrace_small.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("armsrace output diverged from the golden file.\n"+
-			"got %d bytes, want %d; first divergence near byte %d",
-			buf.Len(), len(want), firstDiff(buf.Bytes(), want))
-	}
+	checkGolden(t, p, []string{"armsrace"}, "golden_armsrace_small.txt")
 }
 
 // TestArmsRaceDominates asserts the experiment's headline claim at

@@ -58,15 +58,7 @@ func Fig9(p Params) (*Result, error) {
 	runs := fig9Runs(p.Scale)
 	outs, err := RunTrials(p, len(counts)*runs, func(t Trial) (fig9Trial, error) {
 		numSets := counts[t.Index/runs]
-		pair, err := setupAttackPair(t.Params)
-		if err != nil {
-			return fig9Trial{}, err
-		}
-		chPairs, err := core.AlignChannels(pair.trojan, pair.spy, pair.trojanSets, pair.spySets, numSets)
-		if err != nil {
-			return fig9Trial{}, err
-		}
-		ch, err := core.NewChannel(pair.trojan, pair.spy, chPairs, core.DefaultCovertConfig())
+		_, ch, err := setupChannel(t.Params, numSets)
 		if err != nil {
 			return fig9Trial{}, err
 		}
@@ -129,15 +121,7 @@ func maxSlice(xs []float64) float64 {
 // the spy-side probe waveform: ~630-cycle plateaus for '0' bits and
 // ~950-cycle plateaus for '1' bits, exactly the levels in the paper.
 func Fig10(p Params) (*Result, error) {
-	pair, err := setupAttackPair(p)
-	if err != nil {
-		return nil, err
-	}
-	pairs, err := core.AlignChannels(pair.trojan, pair.spy, pair.trojanSets, pair.spySets, 1)
-	if err != nil {
-		return nil, err
-	}
-	ch, err := core.NewChannel(pair.trojan, pair.spy, pairs, core.DefaultCovertConfig())
+	_, ch, err := setupChannel(p, 1)
 	if err != nil {
 		return nil, err
 	}

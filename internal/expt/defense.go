@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"spybox/internal/arch"
-	"spybox/internal/core"
 	"spybox/internal/cudart"
 	"spybox/internal/mitigate"
 	"spybox/internal/victim"
@@ -43,15 +42,9 @@ func SecVI(p Params) (*Result, error) {
 	}
 	outs, err := RunTrials(p, len(conds), func(t Trial) (sec6Trial, error) {
 		withNoise, withBlocking := conds[t.Index].withNoise, conds[t.Index].withBlocking
-		pair, err := setupAttackPair(Params{Seed: p.Seed, Scale: p.Scale, Parallel: 1})
-		if err != nil {
-			return sec6Trial{}, err
-		}
-		pairs, err := core.AlignChannels(pair.trojan, pair.spy, pair.trojanSets, pair.spySets, 2)
-		if err != nil {
-			return sec6Trial{}, err
-		}
-		ch, err := core.NewChannel(pair.trojan, pair.spy, pairs, core.DefaultCovertConfig())
+		cp := t.Params
+		cp.Seed = p.Seed
+		pair, ch, err := setupChannel(cp, 2)
 		if err != nil {
 			return sec6Trial{}, err
 		}
@@ -121,15 +114,7 @@ func SecVI(p Params) (*Result, error) {
 // busiest link: sustained fine-grained probing keeps every subwindow
 // hot, while benign bulk transfers light up only the burst's window.
 func SecVII(p Params) (*Result, error) {
-	pair, err := setupAttackPair(p)
-	if err != nil {
-		return nil, err
-	}
-	pairs, err := core.AlignChannels(pair.trojan, pair.spy, pair.trojanSets, pair.spySets, 2)
-	if err != nil {
-		return nil, err
-	}
-	ch, err := core.NewChannel(pair.trojan, pair.spy, pairs, core.DefaultCovertConfig())
+	pair, ch, err := setupChannel(p, 2)
 	if err != nil {
 		return nil, err
 	}

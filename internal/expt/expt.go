@@ -372,13 +372,13 @@ func discoveryPages(prof arch.Profile, s Scale) int {
 	}
 }
 
-// setupAttackPair builds machine + both attackers and runs discovery
-// on each. The thresholds come from a real Fig. 4 characterization
-// run, not from constants; the cache geometry (associativity, buffer
-// sizing) comes from the machine's profile, never from the P100
-// package constants.
-func setupAttackPair(p Params) (*attackPair, error) {
-	m := machineFor(p, sim.Options{Seed: p.Seed})
+// setupAttackPair builds a machine from opts plus both attackers and
+// runs discovery on each. The thresholds come from a real Fig. 4
+// characterization run, not from constants; the cache geometry
+// (associativity, buffer sizing) comes from the machine's profile,
+// never from the P100 package constants.
+func setupAttackPair(p Params, opts sim.Options) (*attackPair, error) {
+	m := machineFor(p, opts)
 	prof, err := core.CharacterizeTiming(m, trojanGPU, spyGPU, 48, p.Seed^0xfeed)
 	if err != nil {
 		return nil, err
@@ -403,6 +403,25 @@ func setupAttackPair(p Params) (*attackPair, error) {
 	tSets := trojan.AllEvictionSets(tg, trojan.Ways())
 	sSets := spy.AllEvictionSets(sg, spy.Ways())
 	return &attackPair{m: m, trojan: trojan, spy: spy, trojanSets: tSets, spySets: sSets}, nil
+}
+
+// setupChannel builds an attack pair on a stock machine seeded from
+// p.Seed and establishes a covert channel over numSets aligned set
+// pairs with the default pacing.
+func setupChannel(p Params, numSets int) (*attackPair, *core.Channel, error) {
+	pair, err := setupAttackPair(p, sim.Options{Seed: p.Seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	pairs, err := core.AlignChannels(pair.trojan, pair.spy, pair.trojanSets, pair.spySets, numSets)
+	if err != nil {
+		return nil, nil, err
+	}
+	ch, err := core.NewChannel(pair.trojan, pair.spy, pairs, core.DefaultCovertConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	return pair, ch, nil
 }
 
 // setupSpy builds only the remote spy side (for side channels, where

@@ -31,35 +31,16 @@ func MIG(p Params) (*Result, error) {
 	r := newResult("mig", "MIG-style partitioning defense (Sec. VII)")
 
 	attempt := func(partitions int) (aligned bool, detail string, err error) {
-		m := machineFor(p, sim.Options{Seed: p.Seed, MIGPartitions: partitions})
-		prof, err := core.CharacterizeTiming(m, trojanGPU, spyGPU, 48, p.Seed^0xfeed)
+		pair, err := setupAttackPair(p, sim.Options{Seed: p.Seed, MIGPartitions: partitions})
 		if err != nil {
 			return false, "", err
 		}
-		pages := discoveryPages(m.Profile(), p.Scale)
-		trojan, err := core.NewAttacker(m, trojanGPU, trojanGPU, pages, prof.Thresholds, p.Seed^0x1)
-		if err != nil {
-			return false, "", err
-		}
-		spy, err := core.NewAttacker(m, spyGPU, trojanGPU, pages, prof.Thresholds, p.Seed^0x2)
-		if err != nil {
-			return false, "", err
-		}
-		tg, err := trojan.DiscoverPageGroups(trojan.Ways())
-		if err != nil {
-			return false, "", err
-		}
-		sg, err := spy.DiscoverPageGroups(spy.Ways())
-		if err != nil {
-			return false, "", err
-		}
-		tSets := trojan.AllEvictionSets(tg, trojan.Ways())
-		sSets := spy.AllEvictionSets(sg, spy.Ways())
+		tSets, sSets := pair.trojanSets, pair.spySets
 		detail = fmt.Sprintf("trojan covers %d sets, spy covers %d sets", len(tSets), len(sSets))
 		if len(tSets) == 0 || len(sSets) == 0 {
 			return false, detail, nil
 		}
-		idx, _, err := core.AlignSweep(trojan, spy, tSets[0], sSets, 3)
+		idx, _, err := core.AlignSweep(pair.trojan, pair.spy, tSets[0], sSets, 3)
 		if err != nil {
 			return false, detail, err
 		}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"spybox/internal/arch"
-	"spybox/internal/core"
 	"spybox/internal/cudart"
 	"spybox/internal/xrand"
 )
@@ -71,27 +70,17 @@ type fabricTrial struct {
 }
 
 // fabricsweepTrial runs the covert channel against `streams` competing
-// bulk P2P streams pinned to the covert plane.
-func fabricsweepTrial(p Params, archName string, streams int) (fabricTrial, error) {
+// bulk P2P streams pinned to the covert plane, on p.Arch.
+func fabricsweepTrial(p Params, streams int) (fabricTrial, error) {
 	out := fabricTrial{streams: streams}
-	// Condition trials rebuild the same machine from the run seed; see
-	// the package comment and EXPERIMENTS.md.
-	pair, err := setupAttackPair(Params{Seed: p.Seed, Scale: p.Scale, Parallel: 1, Arch: archName})
-	if err != nil {
-		return out, err
-	}
-	pairs, err := core.AlignChannels(pair.trojan, pair.spy, pair.trojanSets, pair.spySets, 2)
-	if err != nil {
-		return out, err
-	}
-	ch, err := core.NewChannel(pair.trojan, pair.spy, pairs, core.DefaultCovertConfig())
+	pair, ch, err := setupChannel(p, 2)
 	if err != nil {
 		return out, err
 	}
 	topo := pair.m.Topology()
 	covPlane := topo.PlaneFor(spyGPU, trojanGPU)
 	if covPlane < 0 {
-		return out, fmt.Errorf("fabricsweep: profile %q has no switch fabric", archName)
+		return out, fmt.Errorf("fabricsweep: profile %q has no switch fabric", p.Arch)
 	}
 	targets := contentionTargets(pair.m.Profile().Fabric, pair.m.NumGPUs(), spyGPU, trojanGPU, spyGPU, covPlane)
 	if len(targets) == 0 {
@@ -170,7 +159,11 @@ func fabricsweepTrial(p Params, archName string, streams int) (fabricTrial, erro
 func FabricSweep(p Params) (*Result, error) {
 	archName := fabricsweepArch(p)
 	outs, err := RunTrials(p, fabricsweepStreams+1, func(t Trial) (fabricTrial, error) {
-		return fabricsweepTrial(p, archName, t.Index)
+		// Condition trials rebuild the same machine from the run seed;
+		// see the package comment and EXPERIMENTS.md.
+		cp := t.Params
+		cp.Seed, cp.Arch = p.Seed, archName
+		return fabricsweepTrial(cp, t.Index)
 	})
 	if err != nil {
 		return nil, err

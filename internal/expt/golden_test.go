@@ -25,37 +25,7 @@ var goldenExperiments = []string{"fig4", "table1", "fig10"}
 func TestGoldenP100(t *testing.T) {
 	t.Parallel()
 	p := Params{Seed: 20230612, Scale: Small, Parallel: 1, Arch: "p100-dgx1"}
-	var buf bytes.Buffer
-	for _, id := range goldenExperiments {
-		e, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		r, err := e.Run(p)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		r.Print(&buf)
-	}
-	path := filepath.Join("testdata", "golden_p100_small.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("p100-dgx1 output diverged from the pre-refactor golden file.\n"+
-			"got %d bytes, want %d; first divergence near byte %d",
-			buf.Len(), len(want), firstDiff(buf.Bytes(), want))
-	}
+	checkGolden(t, p, goldenExperiments, "golden_p100_small.txt")
 }
 
 // goldenV100Experiments freeze the two-stage fabric's output: the
@@ -74,37 +44,7 @@ func TestGoldenV100(t *testing.T) {
 	}
 	t.Parallel()
 	p := Params{Seed: 20230612, Scale: Small, Parallel: 1, Arch: "v100-dgx2"}
-	var buf bytes.Buffer
-	for _, id := range goldenV100Experiments {
-		e, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		r, err := e.Run(p)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		r.Print(&buf)
-	}
-	path := filepath.Join("testdata", "golden_v100_small.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("v100-dgx2 output diverged from the golden file.\n"+
-			"got %d bytes, want %d; first divergence near byte %d",
-			buf.Len(), len(want), firstDiff(buf.Bytes(), want))
-	}
+	checkGolden(t, p, goldenV100Experiments, "golden_v100_small.txt")
 }
 
 // goldenChannelExperiments freeze the covert-channel paths no other
@@ -122,6 +62,34 @@ func TestGoldenChannels(t *testing.T) {
 	t.Parallel()
 	p := Params{Seed: 20230612, Scale: Small, Parallel: 1, Arch: "p100-dgx1"}
 	checkGolden(t, p, goldenChannelExperiments, "golden_channels_small.txt")
+}
+
+// TestSecVIHonoursArch runs sec6 on v100-dgx2 and requires a report
+// that differs from the p100-dgx1 one TestGoldenChannels pins at the
+// head of its golden file: the condition trials must build their
+// machines from the run's -arch, not silently fall back to the
+// paper's box. The Sec. VI claim must hold on the switch-fabric box
+// too.
+func TestSecVIHonoursArch(t *testing.T) {
+	t.Parallel()
+	p := Params{Seed: 20230612, Scale: Small, Parallel: 1, Arch: "v100-dgx2"}
+	r, err := SecVI(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet, noisy, blocked := r.Metrics["error_quiet_pct"], r.Metrics["error_noisy_pct"], r.Metrics["error_blocked_pct"]
+	if noisy <= quiet || blocked >= noisy {
+		t.Errorf("Sec. VI claim fails on v100-dgx2: quiet %v%%, noisy %v%%, blocked %v%%", quiet, noisy, blocked)
+	}
+	var buf bytes.Buffer
+	r.Print(&buf)
+	p100, err := os.ReadFile(filepath.Join("testdata", "golden_channels_small.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.HasPrefix(p100, buf.Bytes()) {
+		t.Fatal("sec6 on v100-dgx2 reproduced the p100-dgx1 report; -arch was ignored")
+	}
 }
 
 // checkGolden runs the experiments in order, concatenates their text

@@ -56,7 +56,7 @@ func Fig4(p Params) (*Result, error) {
 // and the remote GPU: target re-access latency vs. number of conflict
 // lines chased, with the step at the associativity boundary (16).
 func Fig5(p Params) (*Result, error) {
-	pair, err := setupAttackPair(p)
+	pair, err := setupAttackPair(p, sim.Options{Seed: p.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +155,7 @@ func TableI(p Params) (*Result, error) {
 // eviction set checked against spy candidates; matched candidates
 // show elevated average access time, unmatched ones do not.
 func Fig7(p Params) (*Result, error) {
-	pair, err := setupAttackPair(p)
+	pair, err := setupAttackPair(p, sim.Options{Seed: p.Seed})
 	if err != nil {
 		return nil, err
 	}

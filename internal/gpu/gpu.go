@@ -149,9 +149,6 @@ func (d *Device) Reset(parent *xrand.Source) {
 // ID returns the device's identity.
 func (d *Device) ID() arch.DeviceID { return d.id }
 
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
-
 // L2 returns the device's L2 cache.
 func (d *Device) L2() *l2cache.Cache { return d.l2 }
 

@@ -235,9 +235,6 @@ func (s *Sampler) Launch(m *sim.Machine, dev arch.DeviceID, seed uint64, stop fu
 // Windows returns the recorded per-subwindow observations.
 func (s *Sampler) Windows() []Observation { return s.windows }
 
-// Interval returns the subwindow length.
-func (s *Sampler) Interval() arch.Cycles { return s.interval }
-
 // MedianMaxLinkRate returns the median per-subwindow busiest-link
 // rate in transactions per Mcycle — the sustained-traffic statistic.
 func (s *Sampler) MedianMaxLinkRate() float64 {

@@ -37,11 +37,6 @@ type Config struct {
 	ChunkDelay int
 }
 
-// DefaultConfig suits the side-channel experiments: working sets a
-// few times larger than the spy's monitored region, runs long enough
-// to span the monitoring window.
-func DefaultConfig() Config { return Config{ArrayKB: 512, Passes: 6, ChunkDelay: 512} }
-
 func (c Config) lines() int { return c.ArrayKB * 1024 / arch.CacheLineSize }
 
 // App is one launchable victim application.
