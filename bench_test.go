@@ -255,11 +255,12 @@ func BenchmarkAblationProbeParallelism(b *testing.B) {
 func BenchmarkAblationContentionNoise(b *testing.B) {
 	for _, sigma := range []float64{7, 28, 112, 448} {
 		b.Run(fmt.Sprintf("sigma%.0f", sigma), func(b *testing.B) {
+			prof := arch.P100DGX1()
+			prof.Lat.ContentionSigmaPer = sigma
 			var errSum float64
 			for i := 0; i < b.N; i++ {
 				m := sim.MustNewMachine(sim.Options{
-					Seed: 0xc0 + uint64(i), CacheCfg: tinyCfg(l2cache.LRU, true),
-					ContentionSigmaPer: sigma,
+					Seed: 0xc0 + uint64(i), Profile: &prof, CacheCfg: tinyCfg(l2cache.LRU, true),
 				})
 				thr := core.DefaultThresholds()
 				trojan, _ := core.NewAttacker(m, 0, 0, 24, thr, 1)
@@ -324,12 +325,15 @@ func BenchmarkSchedulerEvents(b *testing.B) {
 }
 
 // BenchmarkRunnerTrials measures trial fan-out overhead and scaling:
-// eight identical trials per op, serially and over the worker pool.
-// Machines come from the runner's per-worker pool (Params.MachineFor),
-// so after the first trial each op is a Reset + run rather than a full
-// build — the trial-path hot loop experiments actually ride. trials/s
-// is the headline; on a multi-core host the parallel variant should
-// approach serial * min(8, cores).
+// eight identical trials per op, over one worker and over GOMAXPROCS
+// workers. Machines come from the runner's per-worker pool
+// (Params.MachineFor), so after a worker's first trial each trial is a
+// Reset + run rather than a full build — the trial-path hot loop
+// experiments actually ride. The pool lives for one RunTrials call,
+// though, so every op still builds one machine per worker: that build
+// is where most of the op's allocated bytes go. trials/s is the
+// headline; on a multi-core host parallelMax should approach
+// parallel1 * min(8, cores).
 func BenchmarkRunnerTrials(b *testing.B) {
 	const trials = 8
 	body := func(t expt.Trial) (int, error) {

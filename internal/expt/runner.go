@@ -112,7 +112,9 @@ func OneTrial(body func(Params) (*Result, error)) func(Params) (*Result, error) 
 // runPool is the bounded fan-out behind RunTrials: `workers`
 // goroutines claim indices 0..n-1 in order and write results into an
 // index-addressed slice, which is what makes the merge step
-// order-independent of scheduling. Each worker owns one machine pool,
+// order-independent of scheduling. One worker is the same loop on one
+// goroutine: it runs trials strictly in order and, after a failure,
+// skips the rest. Each worker owns one machine pool,
 // passed to run and swept (Recycle) after every trial, so machines
 // recycle within a worker but never migrate between goroutines.
 func runPool[T any](ctx context.Context, hooks *TrialHooks, job string, workers, n int, run func(i int, pool *sim.MachinePool) (T, error)) ([]T, error) {
@@ -120,24 +122,6 @@ func runPool[T any](ctx context.Context, hooks *TrialHooks, job string, workers,
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		pool := newTrialPool()
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("run cancelled before trial %d/%d: %w", i, n, err)
-			}
-			hooks.start(job, i, n)
-			v, err := run(i, pool)
-			pool.Recycle()
-			hooks.done(job, i, n, err)
-			if err != nil {
-				return nil, fmt.Errorf("trial %d: %w", i, err)
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-
 	var (
 		next      atomic.Int64
 		lowestErr atomic.Int64 // lowest failing index seen so far

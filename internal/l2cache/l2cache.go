@@ -357,23 +357,18 @@ func (c *Cache) Flush() {
 }
 
 // Reset restores the cache to its freshly constructed state: all lines
-// invalid, the LRU stamp rewound, counters cleared. When parent is
-// non-nil the replacement RNG is re-derived from it exactly as New
-// receives it from parent.Split(), consuming one parent draw — this is
-// what lets a pooled machine replay its construction-time RNG
-// derivation sequence and stay byte-identical to a fresh build.
+// invalid, the LRU stamp rewound, counters cleared, and the
+// replacement RNG re-derived from parent exactly as New receives it
+// from parent.Split(), consuming one parent draw — this is what lets a
+// pooled machine replay its construction-time RNG derivation sequence
+// and stay byte-identical to a fresh build. Reset needs a cache built
+// with an rng, as every machine-built cache is.
 func (c *Cache) Reset(parent *xrand.Source) {
 	c.Flush()
 	c.stamp = 0
 	c.partWays = 0
 	c.ResetStats()
-	if parent != nil {
-		if c.rng == nil {
-			c.rng = parent.Split()
-		} else {
-			c.rng.ReseedFrom(parent)
-		}
-	}
+	c.rng.ReseedFrom(parent)
 }
 
 // OccupiedWays returns how many valid lines set holds (test helper).

@@ -23,16 +23,13 @@ type Options struct {
 	Seed uint64
 	// Profile selects the architecture (GPU count, L2 geometry, SM
 	// resources, latency model, topology family). nil means the
-	// paper's machine, arch.P100DGX1(). Explicit CacheCfg / Topology
-	// below override the corresponding profile-derived defaults.
+	// paper's machine, arch.P100DGX1(). An explicit CacheCfg overrides
+	// the profile-derived cache geometry.
 	Profile  *arch.Profile
 	CacheCfg l2cache.Config
-	Topology *nvlink.Topology
 	// NoiseOff disables all timing jitter; useful in unit tests that
 	// assert exact latencies.
 	NoiseOff bool
-	// ContentionSigmaPer overrides arch.ContentionSigmaPer when > 0.
-	ContentionSigmaPer float64
 	// MIGPartitions, when > 1, enables a MIG-style isolation defense
 	// (Sec. VII): the cache index hash is disabled and every process
 	// is confined to the frames of one of N disjoint cache-set
@@ -43,15 +40,50 @@ type Options struct {
 	MIGPartitions int
 }
 
+// config is what Options resolve to: everything that shapes a machine
+// except the seed. It is comparable, so the same value that builds a
+// machine also keys the pool's free lists — two Options that resolve
+// to equal configs build interchangeable machines.
+type config struct {
+	prof          arch.Profile
+	cache         l2cache.Config
+	noiseOff      bool
+	migPartitions int
+}
+
+// resolve validates opts and applies the profile defaults: the
+// paper's P100 when no profile is given, the profile's cache geometry
+// when CacheCfg is zero, and an unhashed cache index under MIG
+// partitioning.
+func (o Options) resolve() (config, error) {
+	cfg := config{prof: arch.P100DGX1(), cache: o.CacheCfg, noiseOff: o.NoiseOff, migPartitions: o.MIGPartitions}
+	if o.Profile != nil {
+		cfg.prof = *o.Profile
+	}
+	if err := cfg.prof.Validate(); err != nil {
+		return config{}, err
+	}
+	if cfg.cache == (l2cache.Config{}) {
+		cfg.cache = l2cache.FromProfile(cfg.prof)
+	}
+	if cfg.migPartitions > 1 {
+		// Partitioned instances address dedicated L2 banks directly;
+		// the hash would smear partitions across each other.
+		cfg.cache.HashIndex = false
+	}
+	return cfg, nil
+}
+
 // Machine is the whole simulated multi-GPU box.
 //
 // Fields exempted from the resetcomplete check below are fixed by the
-// Config at construction and shared by every trial a pooled machine
-// runs: the pool keys leases by config, so Reset(seed) rewinds state
-// derived from the seed and leaves config-derived fields in place.
+// resolved config at construction and shared by every trial a pooled
+// machine runs: the pool keys free lists by config, so Reset(seed)
+// rewinds state derived from the seed and leaves config-derived fields
+// in place.
 type Machine struct {
-	//spylint:allow resetcomplete profile is part of the pool key, identical across leases
-	prof    arch.Profile
+	//spylint:allow resetcomplete config is the pool key, identical across leases
+	cfg     config
 	devices []*gpu.Device
 	topo    *nvlink.Topology
 	phys    *vmem.PhysMem
@@ -65,15 +97,9 @@ type Machine struct {
 	// lineSize is the L2 line width in bytes, from the cache geometry.
 	//spylint:allow resetcomplete geometry is config-derived, identical across leases
 	lineSize int
-	//spylint:allow resetcomplete noise switch is part of the pool key
-	noiseOff bool
 	// hasFabric gates burst tallying off the p100 hot path.
 	//spylint:allow resetcomplete topology flag is config-derived, identical across leases
 	hasFabric bool
-	//spylint:allow resetcomplete contention sigma is config-derived, identical across leases
-	contSigmaPer float64
-	//spylint:allow resetcomplete MIG layout is part of the pool key
-	migPartitions int
 
 	// peerEnabled[src][dst]: src may access memory homed on dst.
 	peerEnabled [][]bool
@@ -105,51 +131,36 @@ type touchRec struct {
 
 // NewMachine builds a machine shaped by opts.Profile (the paper's
 // P100 DGX-1 when nil). Zero-value fields of opts get profile
-// defaults; an explicit CacheCfg or Topology overrides the profile's.
+// defaults; an explicit CacheCfg overrides the profile's.
 func NewMachine(opts Options) (*Machine, error) {
-	prof := arch.P100DGX1()
-	if opts.Profile != nil {
-		prof = *opts.Profile
-	}
-	if err := prof.Validate(); err != nil {
+	cfg, err := opts.resolve()
+	if err != nil {
 		return nil, err
 	}
-	if opts.CacheCfg == (l2cache.Config{}) {
-		opts.CacheCfg = l2cache.FromProfile(prof)
+	return newMachine(cfg, opts.Seed)
+}
+
+// newMachine builds a machine from a resolved config.
+func newMachine(cfg config, seed uint64) (*Machine, error) {
+	topo, err := nvlink.FromProfile(cfg.prof)
+	if err != nil {
+		return nil, err
 	}
-	if opts.Topology == nil {
-		topo, err := nvlink.FromProfile(prof)
-		if err != nil {
-			return nil, err
-		}
-		opts.Topology = topo
-	}
-	if opts.MIGPartitions > 1 {
-		// Partitioned instances address dedicated L2 banks directly;
-		// the hash would smear partitions across each other.
-		opts.CacheCfg.HashIndex = false
-	}
-	n := opts.Topology.NumGPUs()
-	root := xrand.New(opts.Seed ^ 0x5b7a1e4c90d3f821)
+	n := topo.NumGPUs()
+	root := xrand.New(seed ^ 0x5b7a1e4c90d3f821)
 	m := &Machine{
-		prof:          prof,
-		topo:          opts.Topology,
-		phys:          vmem.NewPhysMem(n),
-		eng:           newEngine(),
-		root:          root,
-		jitter:        root.Split(),
-		lat:           prof.Lat,
-		lineSize:      opts.CacheCfg.LineSize,
-		noiseOff:      opts.NoiseOff,
-		hasFabric:     opts.Topology.HasFabric(),
-		contSigmaPer:  prof.Lat.ContentionSigmaPer,
-		migPartitions: opts.MIGPartitions,
+		cfg:       cfg,
+		topo:      topo,
+		phys:      vmem.NewPhysMem(n),
+		eng:       newEngine(),
+		root:      root,
+		jitter:    root.Split(),
+		lat:       cfg.prof.Lat,
+		lineSize:  cfg.cache.LineSize,
+		hasFabric: topo.HasFabric(),
 	}
-	if opts.ContentionSigmaPer > 0 {
-		m.contSigmaPer = opts.ContentionSigmaPer
-	}
-	devCfg := gpu.FromProfile(prof)
-	devCfg.Cache = opts.CacheCfg
+	devCfg := gpu.FromProfile(cfg.prof)
+	devCfg.Cache = cfg.cache
 	m.peerEnabled = make([][]bool, n)
 	m.lastTouch = make([][]touchRec, n)
 	for i := 0; i < n; i++ {
@@ -207,7 +218,7 @@ func MustNewMachine(opts Options) *Machine {
 func (m *Machine) Device(dev arch.DeviceID) *gpu.Device { return m.devices[dev] }
 
 // Profile returns the architecture profile the machine was built from.
-func (m *Machine) Profile() arch.Profile { return m.prof }
+func (m *Machine) Profile() arch.Profile { return m.cfg.prof }
 
 // LineSize returns the L2 line size the machine was built with (the
 // cache geometry's, which an Options.CacheCfg override may have set
@@ -264,16 +275,16 @@ func (m *Machine) PeerEnabled(src, dst arch.DeviceID) bool {
 // receive frames whose cache region belongs to partition pid mod N,
 // so tenants of different partitions can never share a cache set.
 func (m *Machine) FrameFilter(pid arch.ProcessID) func(uint64) bool {
-	if m.migPartitions <= 1 {
+	parts := m.cfg.migPartitions
+	if parts <= 1 {
 		return nil
 	}
-	cfg := m.devices[0].L2().Config()
-	regions := cfg.Sets / cfg.LinesPerPage()
-	if regions < m.migPartitions {
-		regions = m.migPartitions
+	regions := m.cfg.cache.Sets / m.cfg.cache.LinesPerPage()
+	if regions < parts {
+		regions = parts
 	}
-	part := int(pid) % m.migPartitions
-	perPart := regions / m.migPartitions
+	part := int(pid) % parts
+	perPart := regions / parts
 	lo, hi := part*perPart, (part+1)*perPart
 	return func(frame uint64) bool {
 		r := int(frame % uint64(regions))
@@ -283,7 +294,7 @@ func (m *Machine) FrameFilter(pid arch.ProcessID) func(uint64) bool {
 
 // MIGPartitions reports the configured partition count (0 or 1 means
 // partitioning is off).
-func (m *Machine) MIGPartitions() int { return m.migPartitions }
+func (m *Machine) MIGPartitions() int { return m.cfg.migPartitions }
 
 // opKind distinguishes event request types.
 type opKind int
@@ -694,10 +705,10 @@ func (m *Machine) jitterFor(w *Worker, home arch.DeviceID) arch.Cycles {
 		kept = append(kept, touchRec{w: w, ev: now})
 	}
 	m.lastTouch[home] = kept
-	if m.noiseOff {
+	if m.cfg.noiseOff {
 		return 0
 	}
-	sigma := m.lat.JitterSigma + m.contSigmaPer*float64(others)
+	sigma := m.lat.JitterSigma + m.lat.ContentionSigmaPer*float64(others)
 	j := m.jitter.NormSigma(sigma)
 	if j < 0 {
 		// Latencies have a hard floor; fold the negative tail back so

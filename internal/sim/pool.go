@@ -1,75 +1,50 @@
 // Machine pooling: trial runners burn most of their time building
 // fresh boxes (a DGX-2's L2 arrays alone are hundreds of thousands of
-// way slots), yet every machine built from the same Options differs
-// only by seed — which Reset rewinds in place. A MachinePool hands out
-// reset machines keyed by an Options fingerprint, turning the
-// per-trial cost from "allocate a box" into "memclr a box".
+// way slots), yet every machine built from the same resolved config
+// differs only by seed — which Reset rewinds in place. A MachinePool
+// hands out reset machines from free lists keyed by that config,
+// turning the per-trial cost from "allocate a box" into "memclr a box".
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
-
-// fingerprint returns a pooling key for the options and whether the
-// options are poolable at all. The key covers everything that shapes a
-// machine except the seed (Reset replaces the seed). Options carrying
-// a caller-provided Topology are not poolable: the topology is shared
-// mutable state, so two machines built from it would alias fabric
-// counters and port clocks.
-func (o Options) fingerprint() (string, bool) {
-	if o.Topology != nil {
-		return "", false
-	}
-	name := "<default>"
-	var prof string
-	if o.Profile != nil {
-		name = o.Profile.Name
-		prof = fmt.Sprintf("%+v", *o.Profile)
-	}
-	return fmt.Sprintf("%s|%s|%+v|noise=%t|cont=%g|mig=%d",
-		name, prof, o.CacheCfg, o.NoiseOff, o.ContentionSigmaPer, o.MIGPartitions), true
-}
+import "sync"
 
 // MachinePool recycles machines across trials. Get returns a machine
-// reset to the requested seed (reusing a pooled one when the options
-// fingerprint matches); Put returns it when the trial is done. A
-// machine handed out by Get is never handed out again until it comes
-// back via Put or Recycle, so two live machines never alias state.
+// reset to the requested seed, reusing a free one whose resolved
+// config matches; Recycle returns every machine Get has handed out
+// since the last Recycle. A leased machine is never handed out again
+// until Recycle, so two live machines never alias state.
 //
-// The pool is safe for concurrent use, but the expected shape — one
-// pool per trial worker — means contention is rare.
+// The pool is safe for concurrent use, but Recycle reclaims every
+// lease at once, so it is only safe when no goroutine still uses a
+// machine from the pool — the runner's one-pool-per-worker shape.
 type MachinePool struct {
 	mu     sync.Mutex
-	free   map[string][]*Machine
-	leased map[*Machine]string
+	free   map[config][]*Machine
+	leased []*Machine
 	hits   uint64
 	misses uint64
 }
 
 // NewMachinePool returns an empty pool.
 func NewMachinePool() *MachinePool {
-	return &MachinePool{
-		free:   make(map[string][]*Machine),
-		leased: make(map[*Machine]string),
-	}
+	return &MachinePool{free: make(map[config][]*Machine)}
 }
 
-// Get returns a machine built (or reset) from opts. Unpoolable options
-// fall through to NewMachine; the machine is then simply not recycled.
+// Get returns a machine built (or reset) from opts. A nil pool falls
+// through to NewMachine.
 func (p *MachinePool) Get(opts Options) (*Machine, error) {
 	if p == nil {
 		return NewMachine(opts)
 	}
-	key, ok := opts.fingerprint()
-	if !ok {
-		return NewMachine(opts)
+	cfg, err := opts.resolve()
+	if err != nil {
+		return nil, err
 	}
 	p.mu.Lock()
-	if ms := p.free[key]; len(ms) > 0 {
+	if ms := p.free[cfg]; len(ms) > 0 {
 		m := ms[len(ms)-1]
-		p.free[key] = ms[:len(ms)-1]
-		p.leased[m] = key
+		p.free[cfg] = ms[:len(ms)-1]
+		p.leased = append(p.leased, m)
 		p.hits++
 		p.mu.Unlock()
 		m.Reset(opts.Seed)
@@ -77,49 +52,30 @@ func (p *MachinePool) Get(opts Options) (*Machine, error) {
 	}
 	p.misses++
 	p.mu.Unlock()
-	m, err := NewMachine(opts)
+	m, err := newMachine(cfg, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
 	p.mu.Lock()
-	p.leased[m] = key
+	p.leased = append(p.leased, m)
 	p.mu.Unlock()
 	return m, nil
 }
 
-// Put returns a leased machine to the pool. Machines the pool does not
-// know (built directly, or from unpoolable options) are ignored.
-func (p *MachinePool) Put(m *Machine) {
-	if p == nil || m == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	key, ok := p.leased[m]
-	if !ok {
-		return
-	}
-	delete(p.leased, m)
-	p.free[key] = append(p.free[key], m)
-}
-
-// Recycle returns every leased machine to the pool at once — the
-// between-trials sweep for callers that don't track individual
-// machines (a trial may build several and drop them on the floor).
-// Because it reclaims ALL leases, it is only safe when one goroutine
-// owns every outstanding lease — the runner's one-pool-per-worker
-// shape. Goroutines sharing a pool must return machines with Put.
+// Recycle returns every leased machine to the free list of its own
+// config — the between-trials sweep for callers that don't track
+// individual machines (a trial may build several and drop them on the
+// floor).
 func (p *MachinePool) Recycle() {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	//spylint:allow detrand free-list order is unobservable: Get resets every machine before reuse
-	for m, key := range p.leased {
-		delete(p.leased, m)
-		p.free[key] = append(p.free[key], m)
+	for _, m := range p.leased {
+		p.free[m.cfg] = append(p.free[m.cfg], m)
 	}
+	p.leased = p.leased[:0]
 }
 
 // Stats reports how many Gets were served from the pool versus by

@@ -7,7 +7,6 @@ import (
 
 	"spybox/internal/arch"
 	"spybox/internal/l2cache"
-	"spybox/internal/nvlink"
 )
 
 // resetWorkload drives a machine through every event kind — local and
@@ -60,6 +59,8 @@ func TestMachineResetByteIdentical(t *testing.T) {
 		}
 		return &p
 	}
+	contended := profile("v100-dgx2")
+	contended.Lat.ContentionSigmaPer = 3.5
 	cases := []struct {
 		name string
 		opts Options
@@ -68,7 +69,7 @@ func TestMachineResetByteIdentical(t *testing.T) {
 		{"v100-dgx2", Options{Profile: profile("v100-dgx2")}},
 		{"a100-class", Options{Profile: profile("a100-class")}},
 		{"p100-mig", Options{Profile: profile("p100-dgx1"), MIGPartitions: 4}},
-		{"v100-contended", Options{Profile: profile("v100-dgx2"), ContentionSigmaPer: 3.5}},
+		{"v100-contended", Options{Profile: contended}},
 		{"p100-noiseoff", Options{Profile: profile("p100-dgx1"), NoiseOff: true}},
 	}
 	const seed = 0xdecaf
@@ -116,9 +117,8 @@ func TestMachinePoolReusesAndResets(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := resetWorkload(t, m1)
-	pool.Put(m1)
+	pool.Recycle()
 
-	opts.Seed = 7
 	m2, err := pool.Get(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +136,8 @@ func TestMachinePoolReusesAndResets(t *testing.T) {
 		t.Errorf("pool stats = %d hits / %d misses, want 1/1", hits, misses)
 	}
 
-	// While m2 is leased, a same-fingerprint Get must build fresh —
-	// two live machines never alias.
+	// While m2 is leased, a same-config Get must build fresh — two
+	// live machines never alias.
 	m3, err := pool.Get(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -148,36 +148,84 @@ func TestMachinePoolReusesAndResets(t *testing.T) {
 	pool.Recycle()
 }
 
-func TestMachinePoolUnpoolableTopology(t *testing.T) {
-	topo, err := nvlink.FromProfile(arch.P100DGX1())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestMachinePoolKeysByResolvedConfig pins the pool key to what the
+// options resolve to, not how they are spelled: the nil-profile
+// default and an explicit P100 profile share machines, another
+// profile never receives them, and a CacheCfg.HashIndex that MIG
+// partitioning overrides does not split the free lists.
+func TestMachinePoolKeysByResolvedConfig(t *testing.T) {
 	pool := NewMachinePool()
-	opts := Options{Seed: 1, Topology: topo}
-	m1, err := pool.Get(opts)
+	m1, err := pool.Get(Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Put(m1) // ignored: unpoolable machines are never tracked
-	m2, err := pool.Get(opts)
+	resetWorkload(t, m1) // dirty it before it goes back
+	pool.Recycle()
+
+	p100 := arch.P100DGX1()
+	m2, err := pool.Get(Options{Seed: 2, Profile: &p100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m1 == m2 {
-		t.Fatal("machines built from a caller-provided Topology must not pool")
+	if m2 != m1 {
+		t.Fatal("explicit p100-dgx1 profile did not reuse the default-profile machine")
 	}
-	if hits, _ := pool.Stats(); hits != 0 {
-		t.Errorf("unpoolable options recorded %d pool hits", hits)
+	got := resetWorkload(t, m2)
+	want := resetWorkload(t, MustNewMachine(Options{Seed: 2, Profile: &p100}))
+	if len(got) != len(want) {
+		t.Fatalf("trace lengths differ: pooled %d vs fresh %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pooled seed-2 run diverges from fresh at sample %d: %v vs %v", i, got[i], want[i])
+		}
+	}
+	pool.Recycle()
+
+	v100, err := arch.LookupProfile("v100-dgx2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m3, err := pool.Get(Options{Seed: 3, Profile: &v100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m3 == m1 {
+		t.Fatal("a v100-dgx2 Get received the p100-dgx1 machine")
+	}
+	if m3.NumGPUs() != v100.NumGPUs {
+		t.Fatalf("v100-dgx2 machine has %d GPUs, want %d", m3.NumGPUs(), v100.NumGPUs)
+	}
+	pool.Recycle()
+
+	cfg := l2cache.Config{Sets: 64, Ways: 4, LineSize: arch.CacheLineSize,
+		PageSize: arch.PageSize, Policy: l2cache.LRU, HashIndex: true}
+	mig1, err := pool.Get(Options{Seed: 4, CacheCfg: cfg, MIGPartitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Recycle()
+	cfg.HashIndex = false
+	mig2, err := pool.Get(Options{Seed: 5, CacheCfg: cfg, MIGPartitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mig2 != mig1 {
+		t.Fatal("MIG options differing only in the overridden HashIndex did not share a machine")
+	}
+	pool.Recycle()
+
+	if hits, misses := pool.Stats(); hits != 2 || misses != 3 {
+		t.Errorf("pool stats = %d hits / %d misses, want 2/3", hits, misses)
 	}
 }
 
 // TestMachinePoolConcurrent exercises pooling from many goroutines
-// under the -race CI job, in both supported shapes: a shared pool with
-// explicit Put (a machine is returned only by the goroutine holding
-// it), and the runner's one-pool-per-worker shape where the worker
-// sweeps its own leases with Recycle. Small cache geometry keeps the
-// machines cheap.
+// under the -race CI job, in both supported shapes: a shared pool that
+// all goroutines Get from at once and that is recycled only after
+// every one of them is done, and the runner's one-pool-per-worker
+// shape where the worker sweeps its own leases with Recycle after each
+// trial. Small cache geometry keeps the machines cheap.
 func TestMachinePoolConcurrent(t *testing.T) {
 	cfg := l2cache.Config{Sets: 64, Ways: 4, LineSize: arch.CacheLineSize,
 		PageSize: arch.PageSize, Policy: l2cache.LRU, HashIndex: true}
@@ -196,40 +244,44 @@ func TestMachinePoolConcurrent(t *testing.T) {
 		if lat != arch.NomLocalMiss {
 			return fmt.Errorf("goroutine %d iter %d: cold touch = %v, want %v", g, i, lat, arch.NomLocalMiss)
 		}
-		pool.Put(m)
 		return nil
 	}
+	const goroutines = 8
 	shared := NewMachinePool()
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Shared pool: this goroutine Puts back only what it got.
-			for i := 0; i < 4; i++ {
-				if err := touch(shared, g, i); err != nil {
+	for round := 0; round < 2; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				if err := touch(shared, g, round); err != nil {
 					errs <- err
 					return
 				}
-			}
-			// Private pool, runner-shaped: Recycle sweeps own leases.
-			own := NewMachinePool()
-			for i := 0; i < 4; i++ {
-				if _, err := own.Get(Options{Seed: uint64(i), CacheCfg: cfg, NoiseOff: true}); err != nil {
-					errs <- err
-					return
+				// Private pool, runner-shaped: Recycle sweeps own leases.
+				own := NewMachinePool()
+				for i := 0; i < 4; i++ {
+					if err := touch(own, g, i); err != nil {
+						errs <- err
+						return
+					}
+					own.Recycle()
 				}
-				own.Recycle()
-			}
-			if hits, _ := own.Stats(); hits != 3 {
-				errs <- fmt.Errorf("goroutine %d: private pool hits = %d, want 3", g, hits)
-			}
-		}(g)
+				if hits, _ := own.Stats(); hits != 3 {
+					errs <- fmt.Errorf("goroutine %d: private pool hits = %d, want 3", g, hits)
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		shared.Recycle()
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	// The second round is served entirely from the first round's leases.
+	if hits, misses := shared.Stats(); hits != goroutines || misses != goroutines {
+		t.Errorf("shared pool stats = %d hits / %d misses, want %d/%d", hits, misses, goroutines, goroutines)
 	}
 }

@@ -47,9 +47,6 @@ func NewPhysMem(numGPUs int) *PhysMem {
 	return p
 }
 
-// NumGPUs returns how many devices this physical memory spans.
-func (p *PhysMem) NumGPUs() int { return len(p.used) }
-
 // allocFrame claims a random free frame on dev that satisfies allow
 // (nil means any frame), drawing from rng.
 func (p *PhysMem) allocFrame(dev arch.DeviceID, rng *xrand.Source, allow func(uint64) bool) (arch.PA, error) {
@@ -181,9 +178,6 @@ func NewSpaceFiltered(pid arch.ProcessID, phys *PhysMem, rng *xrand.Source, allo
 		brk:   arch.VA(arch.PageSize), // keep VA 0 unmapped
 	}
 }
-
-// PID returns the owning process ID.
-func (s *Space) PID() arch.ProcessID { return s.pid }
 
 // Alloc maps size bytes of fresh virtual memory whose frames live on
 // dev, returning the page-aligned base VA.
